@@ -86,7 +86,7 @@ bench-dist:
 bench-obs:
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkObsOverhead -benchtime 2s -count 1
 
-# race-obs runs the introspection-layer tests (trace-ring stress under an
+# race-obs runs the introspection-layer tests (hop-store stress under an
 # 8-worker parallel executor, live-server smoke) under the race detector,
 # including the QoS monitor stress, the provenance store's concurrent
 # record-vs-query stress, and the latency attribution engine.
@@ -113,20 +113,22 @@ qos-gate:
 		echo "qos-gate: process measured above the bar, retrying ($$n/5) in a fresh process"; \
 	done
 
-# bench-prov reruns the provenance microbenchmarks whose numbers are
-# recorded in BENCH_obs.json (see DESIGN.md, section "Provenance"): the
-# store's hot-path Record (must show 0 allocs/op), the wave and sink-window
-# queries, and the pipeline overhead pair (traced vs traced + provenance
-# store) in all-overhead and representative modes.
+# bench-prov reruns the provenance microbenchmarks (see DESIGN.md, section
+# "Provenance"): the store's hot-path Record (must show 0 allocs/op), the
+# wave and sink-window queries, and the pipeline overhead pair (sampling off
+# vs sampled hops recorded into the store) in all-overhead and
+# representative modes. BENCH_obs.json holds the numbers of the earlier
+# two-write (ring + store) design.
 bench-prov:
 	$(GO) test ./internal/obs/prov/ -run xxx -bench BenchmarkProv -benchmem -benchtime 2s -count 1
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkProvOverhead -benchtime 10x -count 1
 
-# prov-gate enforces the <=3% provenance-enabled overhead bound from the
-# acceptance criteria, with the qos-gate retry discipline: per-process
-# code-layout bias only ever inflates the measured ratio, so the gate takes
-# the first of up to five independent processes that lands under the bar
-# (see the TestProvOverheadGate comment for the in-process estimator).
+# prov-gate enforces the <=3% bound on all sampled-hop recording (25%
+# sampling vs sampling off on the representative pipeline), with the
+# qos-gate retry discipline: per-process code-layout bias only ever
+# inflates the measured ratio, so the gate takes the first of up to five
+# independent processes that lands under the bar (see the
+# TestProvOverheadGate comment for the in-process estimator).
 prov-gate:
 	@n=0; until PROV_GATE=1 $(GO) test ./internal/obs/ -run TestProvOverheadGate -v -count 1; do \
 		n=$$((n+1)); \
@@ -134,8 +136,8 @@ prov-gate:
 		echo "prov-gate: process measured above the bar, retrying ($$n/5) in a fresh process"; \
 	done
 
-# bench-latency reruns the latency-attribution overhead pair (provenance
-# tracing alone vs tracing + latency profile) whose numbers are recorded in
+# bench-latency reruns the latency-attribution overhead pair (sampled hop
+# recording alone vs the same + latency profile) whose numbers are recorded in
 # BENCH_obs.json (see DESIGN.md, section "Latency attribution"). The
 # profile's hot-path addition is one bounded-ring push per sampled wave
 # endpoint; waterfall analysis is deferred to scrape time.

@@ -169,12 +169,11 @@ func vetOneSpec(path string) ([]confluence.ValidationDiagnostic, error) {
 }
 
 // obsFlags is the shared introspection flag set: -obs, -sample, plus the
-// cluster/provenance trio (-node, -prov, -peers) and -latency.
+// cluster pair (-node, -peers) and -latency.
 type obsFlags struct {
 	addr    *string
 	sample  *float64
 	node    *string
-	prov    *bool
 	peers   *string
 	latency *bool
 }
@@ -184,9 +183,8 @@ func addObsFlags(fs *flag.FlagSet) obsFlags {
 		addr:    fs.String("obs", "", "serve introspection (metrics/pprof/trace) on this address"),
 		sample:  fs.Float64("sample", 1.0, "fraction of waves traced (with -obs)"),
 		node:    fs.String("node", "", "stable node name for cluster identity (with -obs)"),
-		prov:    fs.Bool("prov", false, "enable the persistent provenance store on /provenance (with -obs)"),
 		peers:   fs.String("peers", "", "comma-separated peer obs addresses for /cluster and cluster-scoped /provenance"),
-		latency: fs.Bool("latency", false, "enable critical-path latency attribution on /latency (with -obs; implies -prov)"),
+		latency: fs.Bool("latency", false, "enable critical-path latency attribution on /latency (with -obs)"),
 	}
 }
 
@@ -199,7 +197,6 @@ func startObs(f obsFlags) (*confluence.Observer, error) {
 	opts := confluence.ObserveOptions{
 		SampleRate: *f.sample,
 		NodeName:   *f.node,
-		Provenance: *f.prov,
 		Latency:    *f.latency,
 	}
 	if *f.peers != "" {

@@ -3,8 +3,8 @@
 // The paper's Section 5 scalability direction, plus the observability layer
 // of internal/obs/prov: position-report ingestion runs on node "lr-ingest",
 // windowed toll analytics on node "lr-analytics", linked by a TCP bridge.
-// Each node serves its own introspection endpoint with the persistent
-// provenance store enabled; sampled waves crossing the bridge carry trace
+// Each node serves its own introspection endpoint, whose provenance store
+// records every sampled hop; sampled waves crossing the bridge carry trace
 // context (traced flag + origin-node ID), so a toll alert's full lineage —
 // source firing on node A, bridge hop, windowed analytics on node B — is
 // answerable from either node with one /provenance query.
@@ -87,13 +87,13 @@ func main() {
 
 	// ---- Per-node introspection: provenance store + node identity ----
 	obsA, err := confluence.Observe("127.0.0.1:0", confluence.ObserveOptions{
-		SampleRate: *sample, NodeName: "lr-ingest", Provenance: true, Latency: true,
+		SampleRate: *sample, NodeName: "lr-ingest", Latency: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	obsB, err := confluence.Observe("127.0.0.1:0", confluence.ObserveOptions{
-		SampleRate: *sample, NodeName: "lr-analytics", Provenance: true, Latency: true,
+		SampleRate: *sample, NodeName: "lr-analytics", Latency: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -107,7 +107,7 @@ func main() {
 	dirA, dirB := mkDirector(obsA), mkDirector(obsB)
 	// Watch wires the bridge halves for trace propagation: the sender
 	// stamps sampled waves with lr-ingest's node ID, the receiver forces
-	// them into lr-analytics' tracer.
+	// them into lr-analytics' sampler, so its store records their hops.
 	obsA.Watch(wfA.Name(), wfA, nil, dirA)
 	obsB.Watch(wfB.Name(), wfB, nil, dirB)
 

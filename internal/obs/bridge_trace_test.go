@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -48,8 +49,8 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 	wfA.MustAdd(src, send)
 	wfA.MustConnect(src.Out(), send.In())
 
-	engA := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "ingest", Provenance: true})
-	engB := obs.NewEngine(obs.Options{SampleRate: 0, NodeName: "analytics", Provenance: true})
+	engA := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "ingest"})
+	engB := obs.NewEngine(obs.Options{SampleRate: 0, NodeName: "analytics"})
 
 	mkDir := func(e *obs.Engine) *stafilos.Director {
 		return stafilos.NewDirector(sched.NewQBS(0), stafilos.Options{SourceInterval: 5, Obs: e})
@@ -138,7 +139,29 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engB.Close()
-	body, code := get(t, "http://"+addr+"/metrics")
+	// B's /trace/ views read the same store: every forced wave is listed,
+	// and its lineage is B's three hops.
+	var idx struct {
+		Enabled bool `json:"enabled"`
+		Waves   []struct {
+			ID    string `json:"id"`
+			Spans int    `json:"spans"`
+		} `json:"waves"`
+	}
+	body, code := get(t, "http://"+addr+"/trace/?limit=1000")
+	if code != 200 || json.Unmarshal([]byte(body), &idx) != nil {
+		t.Fatalf("/trace/ = %d %s", code, body)
+	}
+	if !idx.Enabled || len(idx.Waves) != n {
+		t.Fatalf("node B /trace/ = enabled %v with %d waves, want %d", idx.Enabled, len(idx.Waves), n)
+	}
+	for _, w := range idx.Waves {
+		if w.Spans != 3 {
+			t.Errorf("node B /trace/ wave %s has %d hops, want 3", w.ID, w.Spans)
+		}
+	}
+
+	body, code = get(t, "http://"+addr+"/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics status %d", code)
 	}
@@ -149,7 +172,7 @@ func TestCrossBridgeTraceRoundTrip(t *testing.T) {
 		`confluence_bridge_seq_gaps_total{actor="bridgeIn"} 0`,
 		`confluence_bridge_watermark{actor="bridgeIn"}`,
 		`confluence_bridge_ring_capacity{actor="bridgeIn"}`,
-		"confluence_prov_hops_total",
+		"confluence_trace_spans_total 150", // 3 hops per forced wave on B
 		"confluence_prov_resident_hops",
 		"confluence_trace_forced_waves_total 50",
 	} {

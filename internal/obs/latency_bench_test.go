@@ -8,20 +8,17 @@ import (
 	"repro/internal/obs"
 )
 
-// latencyEngine builds the engine pair under test: provenance recording at
-// the given sampling rate, with the latency profile off or on. The profile's
+// latencyEngine builds the engine pair under test: hop recording at the
+// given sampling rate, with the latency profile off or on. The profile's
 // marginal per-firing cost is one bounded-ring push per wave endpoint
 // (NoteEndpoint); all waterfall analysis is deferred to scrape time, so the
 // pair isolates exactly the hot-path addition.
 func latencyEngine(withLatency bool, rate float64) *obs.Engine {
-	return obs.NewEngine(obs.Options{
-		SampleRate: rate, NodeName: "bench",
-		Provenance: true, Latency: withLatency,
-	})
+	return obs.NewEngine(obs.Options{SampleRate: rate, NodeName: "bench", Latency: withLatency})
 }
 
 // BenchmarkLatencyOverhead is the latency-attribution overhead pair recorded
-// in BENCH_obs.json (make bench-latency): provenance-enabled tracing alone
+// in BENCH_obs.json (make bench-latency): sampled hop recording alone
 // versus the same plus the latency profile, on the all-overhead pipeline
 // (empty stages, 100% sampling: every nanosecond is engine cost, the worst
 // case) and on the representative pipeline (~2us of compute per stage firing

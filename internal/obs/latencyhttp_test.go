@@ -178,7 +178,7 @@ func (o *offsetCollect) PeerOffsets() []dist.PeerOffset { return o.offs }
 // /latency/wave stitches the same corrected hops into one waterfall with
 // the applied correction reported.
 func TestLatencyClusterSkewCorrection(t *testing.T) {
-	eA := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "alpha", Provenance: true})
+	eA := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "alpha"})
 	eB := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "beta", Latency: true})
 	addrA, err := eA.Serve("127.0.0.1:0")
 	if err != nil {
@@ -304,7 +304,7 @@ func TestLatencyMetricsSeries(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
-		"confluence_prov_recorded_total 2",
+		"confluence_trace_spans_total 2",
 		"confluence_prov_resident_hops 2",
 		"confluence_prov_evicted_hops_total 0",
 		"confluence_prov_segments",

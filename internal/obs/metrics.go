@@ -1,7 +1,8 @@
 // Package obs is the engine introspection layer: a stdlib-only telemetry
-// registry exported in Prometheus text exposition format, a lock-striped
-// wave-tag trace ring recording firing spans for sampled waves, and an HTTP
-// server mounting /metrics, /debug/pprof/, /workflows and /trace/ views.
+// registry exported in Prometheus text exposition format, a per-wave
+// sampler whose sampled firings are recorded as hops in a provenance store
+// (internal/obs/prov), and an HTTP server mounting /metrics, /debug/pprof/,
+// /workflows, /trace/ and /provenance views over them.
 //
 // The package sits below every director: internal/stafilos and internal/sched
 // call the Engine's hot-path hooks (nil Engine = observability off, zero

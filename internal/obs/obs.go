@@ -18,12 +18,10 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// TraceCapacity is the total span capacity of the wave-tag trace ring
-	// (0 = DefaultTraceCapacity).
-	TraceCapacity int
 	// SampleRate is the fraction of waves traced (0 disables tracing, 1
 	// traces every wave). Sampling is deterministic per wave, so a traced
-	// wave's lineage is always complete.
+	// wave's lineage is always complete. Every hop of a sampled wave is
+	// recorded once, into the engine's provenance store (Prov).
 	SampleRate float64
 
 	// NodeName gives this process a stable cluster identity (see
@@ -32,16 +30,6 @@ type Options struct {
 	// so downstream nodes can attribute the upstream lineage. Empty means
 	// "no identity" (single-process runs).
 	NodeName string
-	// Provenance enables the persistent lineage store (/provenance):
-	// sampled waves' hops are retained in bounded segments beyond the trace
-	// ring's lifetime. Off by default — the trace ring alone then behaves
-	// exactly as before.
-	Provenance bool
-	// ProvSegmentHops, ProvMaxSegments and ProvMaxAge shape the provenance
-	// store's retention (zero = prov package defaults).
-	ProvSegmentHops int
-	ProvMaxSegments int
-	ProvMaxAge      time.Duration
 	// Peers lists the other nodes' obs HTTP base addresses
 	// ("host:port" or "http://host:port") for the /cluster rollup and
 	// cluster-scoped /provenance queries.
@@ -49,8 +37,7 @@ type Options struct {
 
 	// Latency enables critical-path latency attribution (/latency): sampled
 	// waves' lineages are folded into per-wave waterfalls and a fleet-wide
-	// per-actor/per-edge profile. Implies Provenance — the waterfall
-	// analyzer reads the lineage store.
+	// per-actor/per-edge profile, read from the provenance store.
 	Latency bool
 }
 
@@ -139,9 +126,10 @@ type watch struct {
 	dir   model.Director
 }
 
-// Engine is the introspection hub: it owns the telemetry registry and the
-// wave-tag tracer, receives the directors' hot-path hooks, and walks watched
-// workflows at scrape time for queue-depth, shed and per-actor series.
+// Engine is the introspection hub: it owns the telemetry registry, the
+// wave sampler and the provenance store that records sampled hops, receives
+// the directors' hot-path hooks, and walks watched workflows at scrape time
+// for queue-depth, shed and per-actor series.
 //
 // Every hook is safe on a nil *Engine and returns immediately, so call sites
 // guard with a single pointer check and pay nothing when observability is
@@ -150,9 +138,10 @@ type Engine struct {
 	reg    *Registry
 	tracer *Tracer
 
-	// prov is the persistent lineage store (nil when Options.Provenance is
-	// off; every method is nil-safe). nodeName/nodeID are this process's
-	// cluster identity.
+	// prov is the lineage store, the only record of sampled hops. Its
+	// segments are allocated on the first Record, so an engine with
+	// sampling off holds none. nodeName/nodeID are this process's cluster
+	// identity.
 	prov     *prov.Store
 	nodeName string
 	nodeID   uint64
@@ -168,8 +157,6 @@ type Engine struct {
 	claims        *CounterVec // by result: picked | empty
 	picked        *CounterVec // by actor
 	parked        *CounterVec // by actor
-	spans         *Counter
-	provHops      *Counter
 	forcedWaves   *Counter
 	bridgeTransit *HistogramVec // by receiving bridge actor
 
@@ -195,21 +182,15 @@ type Engine struct {
 }
 
 // NewEngine builds an introspection engine. The zero Options value means
-// tracing off, default ring capacity.
+// tracing off.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		reg:      NewRegistry(),
-		tracer:   NewTracer(opts.TraceCapacity, opts.SampleRate),
+		tracer:   NewTracer(opts.SampleRate),
+		prov:     prov.NewStore(prov.Options{}),
 		nodeName: opts.NodeName,
 		nodeID:   uint64(dist.NodeIDOf(opts.NodeName)),
 		peers:    append([]string(nil), opts.Peers...),
-	}
-	if opts.Provenance || opts.Latency {
-		e.prov = prov.NewStore(prov.Options{
-			SegmentHops: opts.ProvSegmentHops,
-			MaxSegments: opts.ProvMaxSegments,
-			MaxAge:      opts.ProvMaxAge,
-		})
 	}
 	if opts.Latency {
 		e.latency = latency.NewProfile(e.resolveWave)
@@ -227,10 +208,6 @@ func NewEngine(opts Options) *Engine {
 		"Firings the scheduler granted, by actor.", "actor")
 	e.parked = r.NewCounterVec("confluence_sched_parked_total",
 		"Times the scheduler skipped an actor because a firing was in flight, by actor.", "actor")
-	e.spans = r.NewCounter("confluence_trace_spans_total",
-		"Trace spans recorded into the wave-tag ring.")
-	e.provHops = r.NewCounter("confluence_prov_hops_total",
-		"Lineage hops recorded into the provenance store.")
 	e.forcedWaves = r.NewCounter("confluence_trace_forced_waves_total",
 		"Waves forced into the local tracer by upstream bridge trace context.")
 	e.bridgeTransit = r.NewHistogramVec("confluence_bridge_transit_seconds",
@@ -239,8 +216,8 @@ func NewEngine(opts Options) *Engine {
 	return e
 }
 
-// Prov returns the engine's provenance store (nil when disabled; the nil
-// store answers every query empty).
+// Prov returns the engine's provenance store (nil only on a nil engine; the
+// nil store answers every query empty).
 func (e *Engine) Prov() *prov.Store {
 	if e == nil {
 		return nil
@@ -350,7 +327,7 @@ func (e *Engine) QueueDepths(yield func(actor string, ready, buffered int)) {
 	}
 }
 
-// Tracer returns the engine's wave-tag tracer.
+// Tracer returns the engine's wave sampler.
 func (e *Engine) Tracer() *Tracer { return e.tracer }
 
 // Watch registers a workflow for scrape-time collection. st may be nil when
@@ -379,7 +356,7 @@ func (e *Engine) Watch(name string, wf *model.Workflow, st *stats.Registry, dir 
 			// Bridge transit timing rides the same structural wiring: the
 			// receiver reports each traced wave's skew-corrected wire time,
 			// attributed to the receiving bridge actor.
-			if t, ok := a.(transitSinkTarget); ok && e.prov != nil {
+			if t, ok := a.(transitSinkTarget); ok {
 				bridge := a.Name()
 				t.SetTransitSink(func(root int64, rootSeq uint64, origin uint64,
 					sentNs, recvNs int64, transit time.Duration) {
@@ -434,11 +411,12 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 		return
 	}
 	if trigger != nil {
-		// Downstream firing: one span for the trigger's wave.
+		// Downstream firing: one hop for the trigger's wave.
 		if !e.tracer.Sampled(trigger.Wave) {
 			return
 		}
-		s := Span{
+		h := prov.Hop{
+			Node:      e.nodeName,
 			Actor:     actor,
 			Root:      trigger.Wave.Root,
 			RootSeq:   trigger.Wave.RootSeq,
@@ -450,14 +428,12 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 			Produced:  len(emissions),
 		}
 		if len(emissions) > 0 {
-			s.Out = emissions[0].Ev.Wave
+			h.Out = emissions[0].Ev.Wave
 		}
-		e.tracer.Record(s)
-		e.spans.Inc()
-		e.recordHop(s)
+		e.recordHop(h)
 		return
 	}
-	// Source firing: every emission starts a wave; record one span per
+	// Source firing: every emission starts a wave; record one hop per
 	// sampled wave (consecutive emissions of one wave collapse into it).
 	var lastRoot int64
 	var lastSeq uint64
@@ -471,7 +447,8 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 		if !e.tracer.Sampled(w) {
 			continue
 		}
-		s := Span{
+		e.recordHop(prov.Hop{
+			Node:     e.nodeName,
 			Actor:    actor,
 			Root:     w.Root,
 			RootSeq:  w.RootSeq,
@@ -479,37 +456,18 @@ func (e *Engine) FiringObserved(actor string, trigger *event.Event, emissions []
 			Start:    start,
 			Cost:     cost,
 			Produced: len(emissions),
-		}
-		e.tracer.Record(s)
-		e.spans.Inc()
-		e.recordHop(s)
+		})
 	}
 }
 
-// recordHop mirrors one recorded trace span into the persistent provenance
-// store (no-op when provenance is off).
-func (e *Engine) recordHop(s Span) {
-	if e.prov == nil {
-		return
-	}
-	e.prov.Record(prov.Hop{
-		Node:      e.nodeName,
-		Actor:     s.Actor,
-		Root:      s.Root,
-		RootSeq:   s.RootSeq,
-		In:        s.In,
-		Out:       s.Out,
-		Start:     s.Start,
-		QueueWait: s.QueueWait,
-		Cost:      s.Cost,
-		Consumed:  s.Consumed,
-		Produced:  s.Produced,
-	})
-	e.provHops.Inc()
+// recordHop writes one sampled hop into the provenance store — its only
+// record.
+func (e *Engine) recordHop(h prov.Hop) {
+	e.prov.Record(h)
 	// A hop that emitted nothing ended its wave here (a sink, or a
 	// filter dropping the last event): queue it for waterfall analysis.
-	if e.latency != nil && s.Produced == 0 {
-		e.latency.NoteEndpoint(s.Root, s.RootSeq)
+	if e.latency != nil && h.Produced == 0 {
+		e.latency.NoteEndpoint(h.Root, h.RootSeq)
 	}
 }
 
@@ -690,33 +648,25 @@ func (e *Engine) registerCollectors() {
 		"Frame sequence discontinuities per bridge.", typeCounter, "actor",
 		perBridge(func(b metrics.BridgeStats) float64 { return float64(b.SeqGaps) }))
 
+	r.RegisterCollector("confluence_trace_spans_total",
+		"Sampled hops recorded into the provenance store.", typeCounter, "",
+		func(emit func(string, float64)) {
+			emit("", float64(e.prov.Stats().Recorded))
+		})
 	r.RegisterCollector("confluence_prov_resident_hops",
 		"Lineage hops currently resident in the provenance store.", typeGauge, "",
 		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().Resident))
-			}
+			emit("", float64(e.prov.Stats().Resident))
 		})
 	r.RegisterCollector("confluence_prov_evicted_hops_total",
 		"Lineage hops evicted from the provenance store by retention.", typeCounter, "",
 		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().EvictedHops))
-			}
-		})
-	r.RegisterCollector("confluence_prov_recorded_total",
-		"Lineage hops ever recorded into the provenance store.", typeCounter, "",
-		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().Recorded))
-			}
+			emit("", float64(e.prov.Stats().EvictedHops))
 		})
 	r.RegisterCollector("confluence_prov_segments",
 		"Segments currently resident in the provenance store.", typeGauge, "",
 		func(emit func(string, float64)) {
-			if e.prov != nil {
-				emit("", float64(e.prov.Stats().Segments))
-			}
+			emit("", float64(e.prov.Stats().Segments))
 		})
 
 	r.RegisterCollector("confluence_latency_endpoints_total",

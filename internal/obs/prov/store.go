@@ -1,12 +1,13 @@
 // Package prov is the engine's queryable provenance layer: an append-only,
-// bounded lineage store that persists sampled wave lineages beyond the
-// wave-tag trace ring's lifetime. Where the obs.Tracer ring silently
-// overwrites old spans, the Store seals them into fixed-size segments with
-// explicit retention and eviction counters, so "which inputs produced this
-// toll alert?" (Cuevas-Vicenttín et al.'s provenance question) stays
-// answerable for as long as the configured retention allows — across the
-// run, and — together with the bridge trace propagation in internal/dist —
-// across process boundaries.
+// bounded lineage store and the engine's only record of sampled wave hops.
+// It seals hops into fixed-size segments with explicit retention and
+// eviction counters, so "which inputs produced this toll alert?"
+// (Cuevas-Vicenttín et al.'s provenance question) stays answerable for as
+// long as the configured retention allows — across the run, and — together
+// with the bridge trace propagation in internal/dist — across process
+// boundaries. The /trace/ views, the /provenance API, the latency
+// waterfalls and the QoS flight recorder's lineages are all queries over
+// one Store.
 //
 // Recording is on the engine hot path (one Record per sampled firing) and
 // follows the PR 6 zero-alloc idioms: hops are fixed-size structs written
@@ -38,7 +39,7 @@ const (
 
 	// DefaultMaxSegments is the store-wide segment retention bound when
 	// Options leaves it zero: 64 segments × 1024 hops = 65536 resident
-	// hops, 16× the default trace ring.
+	// hops.
 	DefaultMaxSegments = 64
 
 	// originTableCap bounds the wave → origin-node table fed by bridge
@@ -54,14 +55,12 @@ type Options struct {
 	// MaxSegments bounds the store's total resident segments across all
 	// stripes (0 = DefaultMaxSegments). Older segments are evicted whole.
 	MaxSegments int
-	// MaxAge, when non-zero, additionally evicts sealed segments whose
-	// newest hop is older than this.
-	MaxAge time.Duration
 }
 
-// Hop is one recorded firing of a sampled wave: the provenance-store
-// counterpart of obs.Span, stamped with the recording node so lineages
-// stitched across processes stay attributable.
+// Hop is one recorded firing of a sampled wave: which actor fired, when,
+// how long the consumed window waited ready and what the firing cost,
+// stamped with the recording node so lineages stitched across processes
+// stay attributable. A wave's hops in Seq order are its actor path.
 type Hop struct {
 	// Node is the recording node's name ("" when the engine runs without a
 	// cluster identity).
@@ -109,7 +108,7 @@ type Stats struct {
 	Recorded int64 `json:"recorded"`
 	Resident int64 `json:"resident"`
 	// EvictedHops and EvictedSegments count retention evictions — lineage
-	// that aged or overflowed out of the store.
+	// that overflowed out of the store.
 	EvictedHops     int64 `json:"evicted_hops"`
 	EvictedSegments int64 `json:"evicted_segments"`
 	// Segments is the current segment count; CapacityHops the retention
@@ -173,10 +172,9 @@ type Transit struct {
 type Store struct {
 	segmentHops  int
 	maxPerStripe int // segments per stripe, including the active one
-	maxAge       time.Duration
 
+	// seq numbers every Record, so it is also the recorded-hop count.
 	seq         atomic.Uint64
-	recorded    atomic.Int64
 	evictedHops atomic.Int64
 	evictedSegs atomic.Int64
 
@@ -207,17 +205,16 @@ func NewStore(opts Options) *Store {
 	return &Store{
 		segmentHops:  segHops,
 		maxPerStripe: per,
-		maxAge:       opts.MaxAge,
 		origins:      make(map[waveKey]originNote),
 	}
 }
 
-// waveHash mixes a wave identity into a well-distributed 64-bit value
-// (splitmix64 finalizer), shared by stripe selection with obs.Tracer so
-// store and trace ring agree on locality.
+// WaveHash mixes a wave identity into a well-distributed 64-bit value
+// (splitmix64 finalizer). The store selects stripes with it and obs.Tracer
+// makes its per-wave sampling decision with it.
 //
 //confvet:noalloc
-func waveHash(root int64, rootSeq uint64) uint64 {
+func WaveHash(root int64, rootSeq uint64) uint64 {
 	x := uint64(root) ^ (rootSeq * 0x9e3779b97f4a7c15)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -241,7 +238,7 @@ func (s *Store) Record(h Hop) {
 	}
 	h.Seq = s.seq.Add(1)
 	ns := h.Start.UnixNano()
-	st := &s.stripes[waveHash(h.Root, h.RootSeq)&(provStripes-1)]
+	st := &s.stripes[WaveHash(h.Root, h.RootSeq)&(provStripes-1)]
 	st.mu.Lock()
 	seg := st.active
 	if seg == nil || seg.n == len(seg.hops) {
@@ -256,7 +253,6 @@ func (s *Store) Record(h Hop) {
 	}
 	seg.n++
 	st.mu.Unlock()
-	s.recorded.Add(1)
 }
 
 // rotate seals the stripe's active segment, evicts beyond the retention
@@ -300,24 +296,6 @@ func (s *Store) evictOldest(st *stripe) {
 	}
 	old.n = 0
 	st.spare = old
-}
-
-// expire applies the age bound: sealed segments whose newest hop is older
-// than MaxAge are evicted. Queries call it on entry so retention holds even
-// when recording has gone quiet.
-func (s *Store) expire(now time.Time) {
-	if s == nil || s.maxAge <= 0 {
-		return
-	}
-	cutoff := now.Add(-s.maxAge).UnixNano()
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for len(st.sealed) > 0 && st.sealed[0].maxStart < cutoff {
-			s.evictOldest(st)
-		}
-		st.mu.Unlock()
-	}
 }
 
 // noteLocked inserts or updates one wave's note under s.omu, enforcing the
@@ -404,7 +382,7 @@ func (s *Store) TransitOf(root int64, rootSeq uint64) (Transit, bool) {
 	}, true
 }
 
-// forEachStripeHop yields every resident hop of one stripe under its lock.
+// forEach yields every resident hop of one stripe under its lock.
 func (st *stripe) forEach(yield func(*Hop)) {
 	st.mu.Lock()
 	for _, seg := range st.sealed {
@@ -424,18 +402,31 @@ func (st *stripe) forEach(yield func(*Hop)) {
 // path from source to sink as executed on this node), or nil when the wave
 // was not sampled or has been evicted.
 func (s *Store) Wave(root int64, rootSeq uint64) []Hop {
+	return s.walk(root, rootSeq, func(*Hop) bool { return true })
+}
+
+// WavesByRoot returns the hops of every resident wave whose root timestamp
+// matches, one record-ordered slice per wave, waves in RootSeq order.
+// Rendered wave-tag strings carry no root sequence number, so a lookup by
+// tag can match several external events with equal timestamps.
+func (s *Store) WavesByRoot(root int64) [][]Hop {
 	if s == nil {
 		return nil
 	}
-	s.expire(time.Now())
-	st := &s.stripes[waveHash(root, rootSeq)&(provStripes-1)]
-	var out []Hop
-	st.forEach(func(h *Hop) {
-		if h.Root == root && h.RootSeq == rootSeq {
-			out = append(out, *h)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	byWave := map[uint64][]Hop{}
+	for i := range s.stripes {
+		s.stripes[i].forEach(func(h *Hop) {
+			if h.Root == root {
+				byWave[h.RootSeq] = append(byWave[h.RootSeq], *h)
+			}
+		})
+	}
+	out := make([][]Hop, 0, len(byWave))
+	for _, hops := range byWave {
+		sort.Slice(hops, func(i, j int) bool { return hops[i].Seq < hops[j].Seq })
+		out = append(out, hops)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0].RootSeq < out[j][0].RootSeq })
 	return out
 }
 
@@ -470,8 +461,7 @@ func (s *Store) walk(root int64, rootSeq uint64, keep func(*Hop) bool) []Hop {
 	if s == nil {
 		return nil
 	}
-	s.expire(time.Now())
-	st := &s.stripes[waveHash(root, rootSeq)&(provStripes-1)]
+	st := &s.stripes[WaveHash(root, rootSeq)&(provStripes-1)]
 	var out []Hop
 	st.forEach(func(h *Hop) {
 		if h.Root == root && h.RootSeq == rootSeq && keep(h) {
@@ -490,7 +480,6 @@ func (s *Store) ByActor(actor string, from, until time.Time, limit int) []WaveRe
 	if s == nil {
 		return nil
 	}
-	s.expire(time.Now())
 	fromNs, untilNs := timeBound(from, until)
 	refs := map[waveKey]*WaveRef{}
 	for i := range s.stripes {
@@ -529,7 +518,6 @@ func (s *Store) Recent(limit int) []WaveRef {
 	if s == nil {
 		return nil
 	}
-	s.expire(time.Now())
 	refs := map[waveKey]*WaveRef{}
 	for i := range s.stripes {
 		s.stripes[i].forEach(func(h *Hop) { addRef(refs, h) })
@@ -589,9 +577,8 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	s.expire(time.Now())
 	st := Stats{
-		Recorded:        s.recorded.Load(),
+		Recorded:        int64(s.seq.Load()),
 		EvictedHops:     s.evictedHops.Load(),
 		EvictedSegments: s.evictedSegs.Load(),
 		CapacityHops:    s.segmentHops * s.maxPerStripe * provStripes,

@@ -86,41 +86,6 @@ func TestRetentionBounds(t *testing.T) {
 	}
 }
 
-// TestMaxAgeExpiry checks the age bound: sealed segments whose newest hop is
-// older than MaxAge are evicted at query time, even with recording quiet.
-func TestMaxAgeExpiry(t *testing.T) {
-	// MaxSegments 32 over 16 stripes = 2 per stripe: one sealed segment
-	// survives rotation, so age expiry (not the segment bound) must be what
-	// evicts it.
-	s := NewStore(Options{SegmentHops: 4, MaxSegments: 32, MaxAge: time.Minute})
-	old := time.Now().Add(-time.Hour)
-	// 8 hops of one wave land on one stripe: 4 seal a segment, 4 stay active.
-	for i := 0; i < 8; i++ {
-		s.Record(hop("a", 7, 0, nil, []int{}, old))
-	}
-	st := s.Stats() // queries run expiry on entry
-	if st.EvictedSegments != 1 || st.EvictedHops != 4 {
-		t.Errorf("age expiry evicted %d segments / %d hops, want 1 / 4", st.EvictedSegments, st.EvictedHops)
-	}
-	// The active segment is never age-evicted; the wave keeps its newest hops.
-	if got := len(s.Wave(7, 0)); got != 4 {
-		t.Errorf("wave has %d hops after expiry, want the 4 active ones", got)
-	}
-
-	// Fresh hops seal a new segment that must survive the same query path.
-	for i := 0; i < 8; i++ {
-		s.Record(hop("a", 7, 0, nil, []int{}, time.Now()))
-	}
-	if st := s.Stats(); st.EvictedSegments != 2 {
-		// Rotation sealed the 4 stale active hops into a segment that the
-		// next expiry sweep collects; the fresh sealed segment stays.
-		t.Errorf("EvictedSegments = %d, want 2 (both stale segments)", st.EvictedSegments)
-	}
-	if got := len(s.Wave(7, 0)); got != 8 {
-		t.Errorf("wave has %d hops, want the 8 fresh ones", got)
-	}
-}
-
 func TestAncestorsAndDescendants(t *testing.T) {
 	s := NewStore(Options{})
 	now := time.Now()
@@ -270,7 +235,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 // concurrency proof (queries copy hops out under the stripe locks, readers
 // never see recycled segment memory).
 func TestConcurrentRecordAndQuery(t *testing.T) {
-	s := NewStore(Options{SegmentHops: 32, MaxSegments: 16, MaxAge: time.Hour})
+	s := NewStore(Options{SegmentHops: 32, MaxSegments: 16})
 	const writers, readers, perWriter = 4, 3, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -318,7 +283,7 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 
 	// Let the readers race the writers until every hop is in, then stop.
 	deadline := time.Now().Add(30 * time.Second)
-	for s.recorded.Load() < int64(writers*perWriter*4) && time.Now().Before(deadline) {
+	for s.seq.Load() < uint64(writers*perWriter*4) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
@@ -370,7 +335,7 @@ func TestStatsCapacityShape(t *testing.T) {
 func TestWaveHashSpreadsStripes(t *testing.T) {
 	seen := map[uint64]int{}
 	for i := 0; i < 1024; i++ {
-		seen[waveHash(int64(i), uint64(i%5))&(provStripes-1)]++
+		seen[WaveHash(int64(i), uint64(i%5))&(provStripes-1)]++
 	}
 	if len(seen) != provStripes {
 		t.Errorf("1024 waves landed on %d/%d stripes", len(seen), provStripes)

@@ -178,7 +178,7 @@ func (e *Engine) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	}
 
 	writeJSON(w, map[string]any{
-		"enabled": store != nil,
+		"enabled": e.tracer.Enabled(),
 		"node":    e.nodeName,
 		"node_id": dist.NodeID(e.nodeID).String(),
 		"stats":   store.Stats(),

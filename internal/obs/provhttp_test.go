@@ -43,7 +43,7 @@ func pathOfDepth(d int) []int {
 // one node: the index view, wave lineage, ancestor/descendant walks, the
 // sink + time-window index, and every malformed-query rejection.
 func TestProvenanceEndpoint(t *testing.T) {
-	e := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "solo", Provenance: true})
+	e := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "solo"})
 	addr, err := e.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +187,8 @@ func TestProvenanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestProvenanceDisabledEngine checks the API degrades cleanly when the
-// store is off: the index reports disabled, lineage queries miss.
+// TestProvenanceDisabledEngine checks the API degrades cleanly when
+// sampling is off: the index reports disabled, lineage queries miss.
 func TestProvenanceDisabledEngine(t *testing.T) {
 	e := obs.NewEngine(obs.Options{})
 	addr, err := e.Serve("127.0.0.1:0")
@@ -218,8 +218,8 @@ func TestProvenanceDisabledEngine(t *testing.T) {
 // emits one exposition with a node label on every series. A third,
 // unreachable peer degrades to an error entry.
 func TestClusterScopeAndRollup(t *testing.T) {
-	eA := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "alpha", Provenance: true})
-	eB := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "beta", Provenance: true})
+	eA := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "alpha"})
+	eB := obs.NewEngine(obs.Options{SampleRate: 1, NodeName: "beta"})
 	addrA, err := eA.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestTraceIndexLimit(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 1; i <= 5; i++ {
-		e.Tracer().Record(obs.Span{Actor: "src", Root: int64(i), RootSeq: 0})
+		e.Prov().Record(prov.Hop{Actor: "src", Root: int64(i), RootSeq: 0})
 	}
 
 	var idx struct {

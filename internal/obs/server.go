@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs/prov"
 )
 
 // server is the introspection HTTP server behind -obs / confluence.Observe.
@@ -245,7 +246,8 @@ func (e *Engine) handleWorkflows(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-// spanView is the /trace/{wavetag} JSON shape: one hop of a wave's lineage.
+// spanView is the /trace/{wavetag} JSON shape: one hop of a wave's lineage
+// (the compact counterpart of /provenance's hopView).
 type spanView struct {
 	Actor            string  `json:"actor"`
 	In               string  `json:"in,omitempty"`
@@ -257,9 +259,9 @@ type spanView struct {
 	Produced         int     `json:"produced"`
 }
 
-func spanViews(spans []Span) []spanView {
-	out := make([]spanView, 0, len(spans))
-	for _, s := range spans {
+func spanViews(hops []prov.Hop) []spanView {
+	out := make([]spanView, 0, len(hops))
+	for _, s := range hops {
 		v := spanView{
 			Actor:            s.Actor,
 			Start:            s.Start.Format(time.RFC3339Nano),
@@ -280,8 +282,9 @@ func spanViews(spans []Span) []spanView {
 }
 
 // handleTrace serves /trace/ (recent wave index) and /trace/{wavetag} (the
-// wave's full actor path with per-hop timings). The id accepts the
-// canonical "t<root>-<rootseq>" form and rendered wave-tag strings.
+// wave's full actor path with per-hop timings), both read from the
+// provenance store. The id accepts the canonical "t<root>-<rootseq>" form,
+// a bare "t<root>" and rendered wave-tag strings.
 func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/trace/")
 	if id == "" {
@@ -294,14 +297,14 @@ func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
 			}
 			limit = n
 		}
-		refs := e.tracer.Recent(limit) // newest-first
+		refs := e.prov.Recent(limit) // newest-first
 		type waveRefView struct {
 			ID    string `json:"id"`
 			Spans int    `json:"spans"`
 		}
 		out := make([]waveRefView, 0, len(refs))
 		for _, ref := range refs {
-			out = append(out, waveRefView{ID: ref.ID(), Spans: ref.Spans})
+			out = append(out, waveRefView{ID: FormatWaveID(ref.Root, ref.RootSeq), Spans: ref.Hops})
 		}
 		writeJSON(w, map[string]any{
 			"enabled": e.tracer.Enabled(),
@@ -320,16 +323,16 @@ func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	var waves []waveView
 	if hasSeq {
-		if spans := e.tracer.Wave(root, rootSeq); len(spans) > 0 {
-			waves = append(waves, waveView{ID: FormatWaveID(root, rootSeq), Spans: spanViews(spans)})
+		if hops := e.prov.Wave(root, rootSeq); len(hops) > 0 {
+			waves = append(waves, waveView{ID: FormatWaveID(root, rootSeq), Spans: spanViews(hops)})
 		}
 	} else {
-		for _, spans := range e.tracer.WavesByRoot(root) {
-			waves = append(waves, waveView{ID: spans[0].WaveID(), Spans: spanViews(spans)})
+		for _, hops := range e.prov.WavesByRoot(root) {
+			waves = append(waves, waveView{ID: FormatWaveID(root, hops[0].RootSeq), Spans: spanViews(hops)})
 		}
 	}
 	if len(waves) == 0 {
-		http.Error(w, "wave not traced (not sampled, or evicted from the ring)", http.StatusNotFound)
+		http.Error(w, "wave not traced (not sampled, or evicted from the store)", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, map[string]any{"waves": waves})

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -61,7 +60,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 }
 
 func TestSamplingDeterministicAndDisabled(t *testing.T) {
-	off := NewTracer(0, 0)
+	off := NewTracer(0)
 	if off.Enabled() {
 		t.Error("rate 0 tracer reports Enabled")
 	}
@@ -72,11 +71,8 @@ func TestSamplingDeterministicAndDisabled(t *testing.T) {
 	if nilT.Enabled() || nilT.Sampled(event.WaveTag{Root: 1}) {
 		t.Error("nil tracer should be disabled")
 	}
-	if nilT.Wave(1, 0) != nil || nilT.WavesByRoot(1) != nil || nilT.Recent(5) != nil {
-		t.Error("nil tracer lookups should return nil")
-	}
 
-	all := NewTracer(0, 1)
+	all := NewTracer(1)
 	for i := int64(0); i < 100; i++ {
 		if !all.Sampled(event.WaveTag{Root: i, RootSeq: uint64(i)}) {
 			t.Fatalf("rate 1 tracer skipped wave %d", i)
@@ -85,7 +81,7 @@ func TestSamplingDeterministicAndDisabled(t *testing.T) {
 
 	// A fractional rate must be deterministic per wave and land near the
 	// requested fraction.
-	tr := NewTracer(0, 0.01)
+	tr := NewTracer(0.01)
 	sampled := 0
 	const n = 100_000
 	for i := 0; i < n; i++ {
@@ -104,77 +100,73 @@ func TestSamplingDeterministicAndDisabled(t *testing.T) {
 	}
 }
 
-func TestRingWrapKeepsNewestSpans(t *testing.T) {
-	// Total capacity 32 across 16 stripes = 2 spans per stripe; all spans of
-	// one wave share a stripe, so the third record evicts the oldest.
-	tr := NewTracer(32, 1)
-	for i := 0; i < 5; i++ {
-		tr.Record(Span{Actor: fmt.Sprintf("a%d", i), Root: 42, RootSeq: 1})
+// fire drives one sampled firing through the engine's hook: a source
+// firing emitting one event of the wave, or a downstream firing triggered
+// by one.
+func fire(e *Engine, actor string, root int64, rootSeq uint64, source bool) {
+	w := event.WaveTag{Root: root, RootSeq: rootSeq}
+	if source {
+		e.FiringObserved(actor, nil, []model.Emission{{Ev: &event.Event{Wave: w}}}, time.Now(), 0, 0, 0)
+		return
 	}
-	spans := tr.Wave(42, 1)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans after wrap, want 2", len(spans))
-	}
-	if spans[0].Actor != "a3" || spans[1].Actor != "a4" {
-		t.Errorf("wrap kept %s,%s; want a3,a4", spans[0].Actor, spans[1].Actor)
-	}
+	e.FiringObserved(actor, &event.Event{Wave: w}, nil, time.Now(), 0, 0, 1)
 }
 
 func TestWaveLookupOrderAndIsolation(t *testing.T) {
-	tr := NewTracer(0, 1)
-	tr.Record(Span{Actor: "src", Root: 7, RootSeq: 0})
-	tr.Record(Span{Actor: "other", Root: 8, RootSeq: 0})
-	tr.Record(Span{Actor: "stage", Root: 7, RootSeq: 0})
-	tr.Record(Span{Actor: "sink", Root: 7, RootSeq: 0})
+	e := NewEngine(Options{SampleRate: 1})
+	fire(e, "src", 7, 0, true)
+	fire(e, "other", 8, 0, true)
+	fire(e, "stage", 7, 0, false)
+	fire(e, "sink", 7, 0, false)
 
-	spans := tr.Wave(7, 0)
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
+	hops := e.Prov().Wave(7, 0)
+	if len(hops) != 3 {
+		t.Fatalf("got %d hops, want 3", len(hops))
 	}
 	for i, want := range []string{"src", "stage", "sink"} {
-		if spans[i].Actor != want {
-			t.Errorf("span[%d] = %s, want %s", i, spans[i].Actor, want)
+		if hops[i].Actor != want {
+			t.Errorf("hop[%d] = %s, want %s", i, hops[i].Actor, want)
 		}
 	}
-	if got := tr.Wave(9, 0); got != nil {
-		t.Errorf("unknown wave returned %d spans", len(got))
+	if got := e.Prov().Wave(9, 0); got != nil {
+		t.Errorf("unknown wave returned %d hops", len(got))
 	}
 }
 
 func TestWavesByRootGroupsRootSeq(t *testing.T) {
-	tr := NewTracer(0, 1)
+	e := NewEngine(Options{SampleRate: 1})
 	// Two external events with the same timestamp: same Root, distinct RootSeq.
-	tr.Record(Span{Actor: "src", Root: 5, RootSeq: 1})
-	tr.Record(Span{Actor: "src", Root: 5, RootSeq: 0})
-	tr.Record(Span{Actor: "sink", Root: 5, RootSeq: 1})
-	waves := tr.WavesByRoot(5)
+	fire(e, "src", 5, 1, true)
+	fire(e, "src", 5, 0, true)
+	fire(e, "sink", 5, 1, false)
+	waves := e.Prov().WavesByRoot(5)
 	if len(waves) != 2 {
 		t.Fatalf("got %d waves, want 2", len(waves))
 	}
 	if waves[0][0].RootSeq != 0 || len(waves[0]) != 1 {
-		t.Errorf("first group = seq %d, %d spans; want seq 0 with 1 span", waves[0][0].RootSeq, len(waves[0]))
+		t.Errorf("first group = seq %d, %d hops; want seq 0 with 1 hop", waves[0][0].RootSeq, len(waves[0]))
 	}
 	if waves[1][0].RootSeq != 1 || len(waves[1]) != 2 {
-		t.Errorf("second group = seq %d, %d spans; want seq 1 with 2 spans", waves[1][0].RootSeq, len(waves[1]))
+		t.Errorf("second group = seq %d, %d hops; want seq 1 with 2 hops", waves[1][0].RootSeq, len(waves[1]))
 	}
 }
 
 func TestRecentOrdersByRecency(t *testing.T) {
-	tr := NewTracer(0, 1)
-	tr.Record(Span{Actor: "src", Root: 1, RootSeq: 0})
-	tr.Record(Span{Actor: "src", Root: 2, RootSeq: 0})
-	tr.Record(Span{Actor: "sink", Root: 1, RootSeq: 0}) // wave 1 touched last
-	refs := tr.Recent(10)
+	e := NewEngine(Options{SampleRate: 1})
+	fire(e, "src", 1, 0, true)
+	fire(e, "src", 2, 0, true)
+	fire(e, "sink", 1, 0, false) // wave 1 touched last
+	refs := e.Prov().Recent(10)
 	if len(refs) != 2 {
 		t.Fatalf("got %d waves, want 2", len(refs))
 	}
-	if refs[0].Root != 1 || refs[0].Spans != 2 {
-		t.Errorf("most recent = root %d with %d spans, want root 1 with 2", refs[0].Root, refs[0].Spans)
+	if refs[0].Root != 1 || refs[0].Hops != 2 {
+		t.Errorf("most recent = root %d with %d hops, want root 1 with 2", refs[0].Root, refs[0].Hops)
 	}
-	if refs[1].Root != 2 || refs[1].Spans != 1 {
-		t.Errorf("second = root %d with %d spans, want root 2 with 1", refs[1].Root, refs[1].Spans)
+	if refs[1].Root != 2 || refs[1].Hops != 1 {
+		t.Errorf("second = root %d with %d hops, want root 2 with 1", refs[1].Root, refs[1].Hops)
 	}
-	if got := tr.Recent(1); len(got) != 1 || got[0].Root != 1 {
+	if got := e.Prov().Recent(1); len(got) != 1 || got[0].Root != 1 {
 		t.Errorf("Recent(1) = %+v, want just root 1", got)
 	}
 }
@@ -205,7 +197,7 @@ func TestEngineHooksNilSafe(t *testing.T) {
 }
 
 // TestFiringObservedSourceRecordsPerWave checks a source firing that emits
-// several waves records one span per distinct wave.
+// several waves records one hop per distinct wave.
 func TestFiringObservedSourceRecordsPerWave(t *testing.T) {
 	e := NewEngine(Options{SampleRate: 1})
 	waves := []struct {
@@ -218,25 +210,26 @@ func TestFiringObservedSourceRecordsPerWave(t *testing.T) {
 	}
 	e.FiringObserved("src", nil, emissions, time.Now(), time.Millisecond, 0, 0)
 
-	if got := len(e.Tracer().Wave(10, 0)); got != 1 {
-		t.Errorf("wave t10-0: %d spans, want 1 (duplicate emissions collapsed)", got)
+	if got := len(e.Prov().Wave(10, 0)); got != 1 {
+		t.Errorf("wave t10-0: %d hops, want 1 (duplicate emissions collapsed)", got)
 	}
-	if got := len(e.Tracer().Wave(11, 0)); got != 1 {
-		t.Errorf("wave t11-0: %d spans, want 1", got)
+	if got := len(e.Prov().Wave(11, 0)); got != 1 {
+		t.Errorf("wave t11-0: %d hops, want 1", got)
 	}
-	if got := len(e.Tracer().Wave(11, 1)); got != 1 {
-		t.Errorf("wave t11-1: %d spans, want 1", got)
+	if got := len(e.Prov().Wave(11, 1)); got != 1 {
+		t.Errorf("wave t11-1: %d hops, want 1", got)
 	}
-	if got := e.spans.Value(); got != 3 {
-		t.Errorf("span counter = %d, want 3", got)
+	if got := e.Prov().Stats().Recorded; got != 3 {
+		t.Errorf("recorded hops = %d, want 3", got)
 	}
 }
 
 // TestForceEnablesWaveTracing pins the bridge-propagation contract: a wave
 // the local sampler would skip becomes sampled once a bridge forces it, and
-// forcing is what flips a rate-0 tracer to Enabled.
+// forcing is what flips a rate-0 tracer to Enabled, and a rate-0 engine's
+// store then records the forced wave's hops and only those.
 func TestForceEnablesWaveTracing(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0)
 	if tr.Enabled() {
 		t.Fatal("rate-0 tracer enabled before any force")
 	}
@@ -257,10 +250,16 @@ func TestForceEnablesWaveTracing(t *testing.T) {
 		t.Errorf("re-forcing grew the forced count to %d, want 1", got)
 	}
 
-	// Spans of a forced wave land in the ring like any sampled wave's.
-	tr.Record(Span{Actor: "recv", Root: 7, RootSeq: 3})
-	if spans := tr.Wave(7, 3); len(spans) != 1 || spans[0].Actor != "recv" {
-		t.Errorf("forced wave spans = %+v", spans)
+	// Hops of a forced wave land in the store like any sampled wave's.
+	e := NewEngine(Options{})
+	e.traceForced(7, 3, 0)
+	fire(e, "recv", 7, 3, false)
+	fire(e, "recv", 7, 4, false)
+	if hops := e.Prov().Wave(7, 3); len(hops) != 1 || hops[0].Actor != "recv" {
+		t.Errorf("forced wave hops = %+v", hops)
+	}
+	if got := e.Prov().Stats().Recorded; got != 1 {
+		t.Errorf("rate-0 engine recorded %d hops, want only the forced wave's 1", got)
 	}
 
 	var nilT *Tracer
@@ -271,7 +270,7 @@ func TestForceEnablesWaveTracing(t *testing.T) {
 // its capacity: Force stays best-effort (newest wins its home slot, no
 // unbounded growth) and never makes an unforced wave read as sampled.
 func TestForceTableOverwriteKeepsNewest(t *testing.T) {
-	tr := NewTracer(0, 0)
+	tr := NewTracer(0)
 	const n = forcedSlots * 4
 	for i := 0; i < n; i++ {
 		tr.Force(int64(i), uint64(i))
@@ -297,7 +296,7 @@ func TestForceTableOverwriteKeepsNewest(t *testing.T) {
 // TestForceWithFractionalRate checks forcing composes with a configured
 // sample rate rather than replacing it.
 func TestForceWithFractionalRate(t *testing.T) {
-	tr := NewTracer(0, 0.000001) // samples almost nothing on its own
+	tr := NewTracer(0.000001) // samples almost nothing on its own
 	w := event.WaveTag{Root: 1_000_003, RootSeq: 5}
 	if tr.Sampled(w) {
 		t.Skip("wave happens to hash into the sample set")
